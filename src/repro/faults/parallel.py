@@ -1005,12 +1005,14 @@ def parallel_detect_segmented(
     classes = simulator.network.num_classes
     options = (bool(drop_detected), bool(divergence_exit), bool(compact_batches))
     bounds = shard_bounds(n_faults, workers)
+    # Partial checkpoints hold carried membrane state, so ``v`` is bumped
+    # with every store.ARITH_REVISION: old partials must never resume.
     checkpoint, bounds = _prepare_checkpoint(
         "detect-seg", checkpoint_path, resume, simulator, faults,
         tuple(stimulus.chunks), bounds,
         extra=(
             f"segmented:drop={int(options[0])},div={int(options[1])},"
-            f"comp={int(options[2])},v=3"
+            f"comp={int(options[2])},v=4"
         ),
     )
     # The chain the parent expects every shard to report.  Computed before

@@ -71,6 +71,7 @@ from repro.faults.simulator import (
     _supports_synapse_splice,
     _synapse_entries,
     _window_pieces,
+    kbatched_weight_stacks,
 )
 from repro.snn.events import (
     EVENT_GUARD_MARGIN,
@@ -522,16 +523,9 @@ class _FaultGroup:
         self, rows: np.ndarray, seg_input: np.ndarray, offset: int
     ) -> np.ndarray:
         module = self.module
-        params = module.parameters()
-        # astype always copies, so this both detaches the broadcast view
-        # and lands the stacks in the group's compute dtype.
-        stacks = [
-            np.broadcast_to(p.data, (len(rows),) + p.data.shape).astype(self.dtype)
-            for p in params
-        ]
-        for j, row in enumerate(rows):
-            pidx, widx, value = self.syn[row]
-            stacks[pidx][j].reshape(-1)[widx] = value
+        stacks, nominal = kbatched_weight_stacks(
+            module, [self.syn[row] for row in rows], self.dtype, self.window
+        )
         tiled = np.tile(seg_input, (1, len(rows)) + (1,) * (seg_input.ndim - 2))
         state = self._module_state(rows)
         run = (
@@ -542,13 +536,6 @@ class _FaultGroup:
         if self.window is None:
             out = run(tiled, stacks, state=state)
         else:
-            nominal = [
-                np.broadcast_to(
-                    p.data if p.data.dtype == self.dtype else p.data.astype(self.dtype),
-                    (len(rows),) + p.data.shape,
-                )
-                for p in params
-            ]
             pieces = [
                 run(tiled[a:b], stacks if in_window else nominal, state=state)
                 for a, b, in_window in _window_pieces(

@@ -393,6 +393,35 @@ def _synapse_entries(module, group: Sequence[SynapseFault], config: FaultModelCo
     return entries
 
 
+def kbatched_weight_stacks(module, entries, dtype, window=None):
+    """K-batched weight stacks for synapse-fault ``entries`` (one per row).
+
+    Returns ``(stacks, nominal)``: one ``(K, ...)`` stack per module
+    parameter in ``dtype``, row ``j`` carrying entry ``j``'s faulty value,
+    and — for a transient ``window`` only, else ``None`` — the pristine
+    stacks driven outside the window.
+
+    The faulty stacks are C-contiguous by construction.  The K-batched
+    kernels hand each ``(in, out)`` slice to BLAS, which needs a unit
+    inner stride; ``np.broadcast_to(...).astype(dtype)`` keeps the
+    broadcast's stride-0 axis innermost, so its slices silently fall off
+    BLAS onto numpy's own loop, about 10x slower and summed in a different
+    order than the per-step reference.  The nominal stacks stay stride-0
+    broadcast views: every slice of one is the cast weight matrix itself.
+    Both campaign engines build their stacks here and nowhere else.
+    """
+    weights = [np.asarray(p.data, dtype=dtype) for p in module.parameters()]
+    k = len(entries)
+    stacks = [np.array(np.broadcast_to(w, (k,) + w.shape), order="C") for w in weights]
+    for row, (pidx, widx, value) in enumerate(entries):
+        stacks[pidx][row].reshape(-1)[widx] = value
+    nominal = (
+        None if window is None
+        else [np.broadcast_to(w, (k,) + w.shape) for w in weights]
+    )
+    return stacks, nominal
+
+
 def _supports_kbatched(module) -> bool:
     return (
         isinstance(module, SpikingModule)
@@ -897,20 +926,13 @@ class FaultSimulator:
             return self._spliced_synapse_run(
                 module_index, group, base_seq, golden_out, window=window
             )
-        params = module.parameters()
         k = len(group)
         s = base_seq.shape[1]
         steps = base_seq.shape[0]
         dtype = module.compute_dtype
-        stacks = [
-            np.broadcast_to(p.data, (k,) + p.data.shape).copy() for p in params
-        ]
-        for row, (pidx, widx, value) in enumerate(
-            _synapse_entries(module, group, self.config)
-        ):
-            stacks[pidx][row].reshape(-1)[widx] = value
-        if stacks and stacks[0].dtype != dtype:
-            stacks = [stack.astype(dtype) for stack in stacks]
+        stacks, nominal = kbatched_weight_stacks(
+            module, _synapse_entries(module, group, self.config), dtype, window
+        )
         if base_seq.dtype != dtype:
             base_seq = base_seq.astype(dtype)
         tiled = np.tile(base_seq, (1, k) + (1,) * (base_seq.ndim - 2))
@@ -918,11 +940,6 @@ class FaultSimulator:
         if window is None and not fused:
             out = module.run_sequence_kbatched(tiled, stacks)
         else:
-            nominal = [
-                np.broadcast_to(p.data, (k,) + p.data.shape) for p in params
-            ]
-            if nominal and nominal[0].dtype != dtype:
-                nominal = [arr.astype(dtype) for arr in nominal]
             state = module.init_state(k * s)
             outs = []
             for a, b, in_w in _window_pieces(window, steps):

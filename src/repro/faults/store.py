@@ -82,6 +82,13 @@ _GOLDEN_MAX_DEFAULT = 64 * 2**20
 
 _RECORD_SUFFIX = ".rec"
 
+#: Revision of the faulty-row arithmetic, folded into every group key.
+#: Group records carry each row's membrane potentials, so a change in how
+#: those are summed must turn every older record into a miss, never a
+#: resume point.  Revision 2: K-batched weight stacks are C-contiguous, so
+#: each slice runs the same BLAS product as the per-step reference.
+ARITH_REVISION = 2
+
 
 # ----------------------------------------------------------------------
 # Fingerprints
@@ -129,11 +136,12 @@ def options_token(
     compute dtype, the execution path family).  Batch widths are excluded
     deliberately — per-row results are independent of batch composition
     (pinned by the batched-equivalence suites), and the execution-path
-    splits they cause are captured per group by its ``kind``."""
+    splits they cause are captured per group by its ``kind``, and the
+    faulty-row arithmetic by :data:`ARITH_REVISION`."""
     return (
         f"drop={int(bool(drop_detected))},div={int(bool(divergence_exit))},"
         f"comp={int(bool(compact_batches))},dtype={simulator.dtype},"
-        f"fused={int(bool(simulator.fused))}"
+        f"fused={int(bool(simulator.fused))},arith={ARITH_REVISION}"
     )
 
 

@@ -32,7 +32,8 @@ from repro.faults.catalog import build_catalog
 from repro.faults.model import FaultModelConfig
 from repro.faults.parallel import fork_available, parallel_detect_segmented
 from repro.faults.simulator import FaultSimulator
-from repro.faults.store import CoverageStore
+from repro.faults import store as store_module
+from repro.faults.store import CoverageStore, StoreSession, options_token
 from repro.snn.builder import (
     ConvSpec,
     DenseSpec,
@@ -241,3 +242,39 @@ def test_option_change_never_reuses_records(campaign, tmp_path):
     assert np.array_equal(other.detected, cold.detected)
     assert np.array_equal(other.output_l1, cold.output_l1)
     assert np.array_equal(other.class_count_diff, cold.class_count_diff)
+
+
+def test_records_of_the_previous_arithmetic_are_not_served(
+    campaign, tmp_path, monkeypatch
+):
+    """Group records carry membrane potentials summed by the arithmetic
+    that wrote them.  Records staged under the previous revision's token
+    (no ``arith`` field) must all be misses, never resume points."""
+    store = CoverageStore(tmp_path / "arith")
+    faults = campaign["faults"]
+    engine = dict(workers=1, fused=True, dtype="float64")
+
+    def previous_token(*args):
+        token = options_token(*args)
+        return token[: token.index(",arith=")]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "options_token", previous_token)
+        _run(campaign, campaign["base"], faults, store=store, **engine)
+    stale = store.writes
+    assert stale > 0
+    cold = _run(campaign, campaign["base"], faults, store=None, **engine)
+    served = []
+    lookup = StoreSession.lookup_group
+
+    def spy(self, *args):
+        served.append(lookup(self, *args))
+        return served[-1]
+
+    monkeypatch.setattr(StoreSession, "lookup_group", spy)
+    fresh = _run(campaign, campaign["base"], faults, store=store, **engine)
+    assert served and all(hit is None for hit in served)
+    assert store.writes > stale, "the current arithmetic must write fresh records"
+    assert np.array_equal(fresh.detected, cold.detected)
+    assert np.array_equal(fresh.output_l1, cold.output_l1)
+    assert np.array_equal(fresh.class_count_diff, cold.class_count_diff)
